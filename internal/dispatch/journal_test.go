@@ -12,6 +12,7 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
+	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wal"
 )
@@ -185,5 +186,57 @@ func TestGracefulCloseLeavesNoPending(t *testing.T) {
 	defer j.Close()
 	if len(st.Pending) != 0 {
 		t.Fatalf("graceful shutdown left %d pending tasks in the journal", len(st.Pending))
+	}
+}
+
+// A task still outstanding when its instance is destroyed is owed to
+// nobody: a snapshot taken afterwards must not record it as pending, or the
+// finished journal replays to phantom work.
+func TestSnapshotSkipsDestroyedInstanceWork(t *testing.T) {
+	dir := t.TempDir()
+	d := dispatch.New(dispatch.Options{JournalDir: dir, SnapshotEvery: 1, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := wsrpcDial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	if err := ex.Call(fproto.MethodRegister, fproto.RegisterRequest{ExecutorID: "held", Slots: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit([]task.Task{task.Sleep(1, time.Hour)}); err != nil {
+		t.Fatal(err)
+	}
+	var work fproto.GetWorkReply
+	if err := ex.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: "held", Max: 1}, &work); err != nil {
+		t.Fatal(err)
+	}
+	if len(work.Assignments) != 1 {
+		t.Fatalf("got %d assignments, want 1", len(work.Assignments))
+	}
+	c.Close() // destroys the instance while its task is outstanding
+
+	// An empty deliver kicks the snapshot; Close waits for it to finish.
+	if err := ex.Call(fproto.MethodDeliver, fproto.DeliverRequest{ExecutorID: "held"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	st, j, info, err := wal.Recover(dir, wal.Options{Sync: wal.SyncPolicy{Mode: wal.SyncOff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if info.SnapshotIndex == 0 {
+		t.Fatal("no snapshot was written")
+	}
+	if len(st.Pending) != 0 {
+		t.Fatalf("destroyed instance left %d pending tasks in the snapshot", len(st.Pending))
 	}
 }

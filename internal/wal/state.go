@@ -121,6 +121,9 @@ func (r *replayer) load(st *State) {
 		r.order = append(r.order, in.EPR)
 	}
 	for _, p := range st.Pending {
+		if _, ok := r.instances[p.EPR]; !ok {
+			continue // owed to a destroyed instance (older snapshots kept these)
+		}
 		r.pendIdx[pendKey{p.EPR, p.Task.ID}] = len(r.pending)
 		r.pending = append(r.pending, p)
 	}

@@ -352,6 +352,37 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// A snapshot written before capture learned to skip destroyed instances
+// can hold pending work for an instance it no longer lists; recovery must
+// drop it rather than owe it to nobody.
+func TestSnapshotPendingWithoutInstanceDropped(t *testing.T) {
+	dir := t.TempDir()
+	_, j, _ := mustRecover(t, dir, testOpts())
+	cut, err := j.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &State{
+		NextEPR:   2,
+		Instances: []Instance{{EPR: "falkon-instance-2"}},
+		Pending: []Pending{
+			{EPR: "falkon-instance-1", Task: task.Task{ID: 1}},
+			{EPR: "falkon-instance-2", Task: task.Task{ID: 2}},
+		},
+	}
+	if err := j.WriteSnapshot(cut, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, j2, _ := mustRecover(t, dir, testOpts())
+	defer j2.Close()
+	if len(st.Pending) != 1 || st.Pending[0].Task.ID != 2 {
+		t.Fatalf("pending = %+v, want just task 2", st.Pending)
+	}
+}
+
 // TestCorruptSnapshotFallsBack: a damaged newest snapshot falls back to an
 // older one plus the segments it still covers.
 func TestCorruptSnapshotFallsBack(t *testing.T) {

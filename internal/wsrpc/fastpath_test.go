@@ -147,10 +147,15 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 			cli, srv := tcpPair(t, tc.profile, tc.psk)
 			const writers, frames = 4, 50
 			rng := rand.New(rand.NewSource(1))
+			// Each writer owns its slice of bodies; the reader checks off a
+			// private map, so no goroutine reads what another mutates.
+			sent := make([][]string, writers)
 			bodies := make(map[uint64]string, writers*frames)
-			for g := 0; g < writers; g++ {
-				for i := 0; i < frames; i++ {
-					bodies[uint64(g*1000+i)] = fmt.Sprintf("g%d-%d-%d", g, i, rng.Int63())
+			for g := range sent {
+				sent[g] = make([]string, frames)
+				for i := range sent[g] {
+					sent[g][i] = fmt.Sprintf("g%d-%d-%d", g, i, rng.Int63())
+					bodies[uint64(g*1000+i)] = sent[g][i]
 				}
 			}
 			var wg sync.WaitGroup
@@ -158,9 +163,9 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					for i := 0; i < frames; i++ {
+					for i, want := range sent[g] {
 						seq := uint64(g*1000 + i)
-						body, _ := json.Marshal(bodies[seq])
+						body, _ := json.Marshal(want)
 						if _, err := cli.WriteEnvelope(kindCall, seq, "m", "", envMeta{}, body); err != nil {
 							t.Error(err)
 							return
@@ -169,7 +174,7 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 				}(g)
 			}
 			lastSeq := make(map[int]int) // writer -> last frame index seen
-			for range bodies {
+			for range writers * frames {
 				raw, err := srv.ReadFrame()
 				if err != nil {
 					t.Fatal(err)

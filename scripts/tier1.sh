@@ -42,6 +42,9 @@ go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
 # Short fuzz pass over the journal decoder: it must never panic and never
 # fabricate records, whatever bytes a torn tail left behind.
 go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/
+# Short fuzz pass over the per-task body codecs: wherever the fast parser
+# accepts bytes, encoding/json must accept them and decode the same value.
+go test -run='^$' -fuzz=FuzzBodyCodec -fuzztime=5s ./internal/fproto/
 # Compile-and-run every benchmark exactly once, so bitrot in benchmark-only
 # code fails tier 1 instead of the next perf investigation.
 go test -run='^$' -bench=. -benchtime=1x ./...
