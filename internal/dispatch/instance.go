@@ -38,6 +38,9 @@ type instance struct {
 	mu     sync.Mutex
 	peer   *wsrpc.Peer // connection that created the instance
 	notify bool        // push results over peer ({8}) vs. client polling
+	// unclaimed marks an instance recovered from the journal that no
+	// client has re-attached to since.
+	unclaimed bool
 
 	// submitted counts tasks accepted; inFlight counts tasks queued,
 	// outstanding, or buffered-but-uncollected; used for Collect's pending

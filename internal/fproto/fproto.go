@@ -105,6 +105,12 @@ type CreateInstanceReply struct {
 // DestroyInstanceRequest tears an instance down; queued tasks are dropped.
 type DestroyInstanceRequest struct {
 	EPR string `json:"epr"`
+	// Unclaimed limits the destroy to an instance recovered from the
+	// journal that no client has re-attached since; any other instance is
+	// refused. A client whose Close met a dead connection retries with it,
+	// so the retry can only reach the instance it left behind, never one a
+	// live client holds under a reused EPR.
+	Unclaimed bool `json:"unclaimed,omitempty"`
 }
 
 // SubmitRequest delivers a bundle of tasks ({1,2}). Client-dispatcher
