@@ -24,7 +24,7 @@ import (
 // (rotating), which exercises the tree's whole failure story at once: the
 // tier above redistributes the dead leaf's owed work to live siblings,
 // the restarted leaf replays its journal and re-runs whatever it already
-// owned, and the forwarders' done-sets drop the duplicate results — so
+// owned, and each forwarder drops the results it no longer owes — so
 // the client must still see exactly-once delivery no matter how many
 // levels the results bubble up through.
 func runTreeOne(c cfg, keep bool) (err error) {

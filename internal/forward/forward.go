@@ -6,13 +6,14 @@
 // per-task envelope cost the same way client-side bundling does. Each leaf
 // runs the full scheduling core against its own executor pool and reports
 // capacity upward — queue depth, outstanding tasks, idle slots — so the
-// root routes every bundle to the leaf with the most headroom rather than
-// round-robin. Results aggregate back through the root, which buffers them
-// per instance and replays any work a dead leaf still owed.
+// root routes every bundle to the leaf with the most headroom. Results
+// aggregate back through the root, which buffers them per instance and
+// replays any work a dead leaf still owed.
 //
-// Leaves are ordinary dispatchers: a leaf that predates the capacity
-// protocol simply routes round-robin, and a leaf can itself be another
-// forwarder, giving trees deeper than two levels.
+// Leaves are ordinary dispatchers, and a leaf can itself be another
+// forwarder, giving trees deeper than two levels: a forwarder answers
+// attach-parent like a dispatcher, reporting the summed capacity of its own
+// children, so every tier routes by the same protocol.
 package forward
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"falkon/internal/backoff"
@@ -50,9 +52,6 @@ type Options struct {
 	Bundle int
 	// Backoff shapes leaf redial pacing (zero value = backoff.Default).
 	Backoff backoff.Policy
-	// NoCapacity disables the capacity-hint protocol, forcing round-robin
-	// routing (compatibility testing).
-	NoCapacity bool
 	// Logf receives forwarder logs; nil silences them.
 	Logf func(format string, args ...any)
 	// Metrics receives the forwarder's own wsrpc instruments (upstream
@@ -88,6 +87,14 @@ type Forwarder struct {
 	nextEPR  int64
 	closed   bool
 	routable *sync.Cond // signaled when a leaf comes up
+
+	// parents are the upstream connections attached as tree parents; they
+	// receive this forwarder's summed capacity (see parent.go). nParents
+	// makes the no-parent check on the submit path one atomic load.
+	parents  map[uint64]*wsrpc.Peer
+	nParents atomic.Int32
+	capSeq   uint64 // guarded by mu
+	epoch    int64  // boot time, the Epoch of every hint reported upward
 }
 
 // New connects to every leaf dispatcher, attaches as their tree parent, and
@@ -104,6 +111,8 @@ func New(opts Options) (*Forwarder, error) {
 		stop:    make(chan struct{}),
 		byFwd:   make(map[string]*finst),
 		byReal:  make(map[realKey]*finst),
+		parents: make(map[uint64]*wsrpc.Peer),
+		epoch:   time.Now().UnixNano(),
 	}
 	if f.reg == nil {
 		f.reg = obs.NewRegistry()
@@ -122,7 +131,7 @@ func New(opts Options) (*Forwarder, error) {
 		f.leaves = append(f.leaves, &leaf{idx: i, addr: addr})
 	}
 	for _, l := range f.leaves {
-		cli, hint, capOK, err := f.dialLeaf(l)
+		cli, hint, err := f.dialLeaf(l)
 		if err != nil {
 			f.closeLeaves()
 			return nil, fmt.Errorf("forward: dial dispatcher %s: %w", l.addr, err)
@@ -130,7 +139,6 @@ func New(opts Options) (*Forwarder, error) {
 		f.mu.Lock()
 		l.cli = cli
 		l.up = true
-		l.capOK = capOK
 		// absorbHint, not assignment: a capacity push that beat the
 		// attach-parent reply here must not be rolled back to the older
 		// attach-time snapshot.
@@ -203,6 +211,7 @@ func (f *Forwarder) register() {
 	f.srv.Register(fproto.MethodStats, f.handleStats)
 	f.srv.Register(fproto.MethodMetrics, f.handleMetrics)
 	f.srv.Register(fproto.MethodEvents, f.handleEvents)
+	f.srv.Register(fproto.MethodAttachParent, f.handleAttachParent)
 }
 
 // Metrics returns the forwarder's own instrument registry (its wsrpc
@@ -210,21 +219,31 @@ func (f *Forwarder) register() {
 func (f *Forwarder) Metrics() *obs.Registry { return f.reg }
 
 // onUpstreamDisconnect detaches instances bound to a dropped client
-// connection so their results buffer for redelivery on reattach.
+// connection so their results buffer for redelivery on reattach, and drops
+// the connection from the parent set.
 func (f *Forwarder) onUpstreamDisconnect(p *wsrpc.Peer) {
 	f.mu.Lock()
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
+	delete(f.parents, p.ID())
+	f.nParents.Store(int32(len(f.parents)))
 	f.mu.Unlock()
-	for _, inst := range insts {
+	for _, inst := range f.instances() {
 		inst.mu.Lock()
 		if inst.peer == upstreamPeer(p) {
 			inst.peer = nil
 		}
 		inst.mu.Unlock()
 	}
+}
+
+// instances snapshots the root instances.
+func (f *Forwarder) instances() []*finst {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	insts := make([]*finst, 0, len(f.byFwd))
+	for _, inst := range f.byFwd {
+		insts = append(insts, inst)
+	}
+	return insts
 }
 
 // lookup resolves a root EPR.
@@ -246,7 +265,7 @@ func (f *Forwarder) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (a
 	if req.EPR != "" {
 		return f.reattachInstance(p, &req)
 	}
-	inst := newFinst("", req.ClientName, len(f.leaves))
+	inst := newFinst(len(f.leaves))
 	inst.tenant = req.Tenant
 	if req.WantNotifications {
 		inst.peer = p
@@ -336,7 +355,7 @@ func (f *Forwarder) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) (
 	return struct{}{}, nil
 }
 
-func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
+func (f *Forwarder) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
 	var req fproto.SubmitRequest
 	if err := wsrpc.UnmarshalBody(body, &req); err != nil {
 		return nil, err
@@ -347,19 +366,14 @@ func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, erro
 	}
 	// Idempotent resubmission, mirroring the dispatcher's instance
 	// semantics: tasks whose delivery is still owed are dropped (their
-	// results are coming); tasks already delivered re-run, leaving the
-	// done set so the fresh result is not mistaken for a duplicate.
+	// results are coming); tasks already delivered re-run.
 	fresh := make([]task.Task, 0, len(req.Tasks))
 	inst.mu.Lock()
 	for _, t := range req.Tasks {
-		if _, owed := inst.pending[t.ID]; owed {
-			continue
+		if _, owed := inst.pending[t.ID]; !owed {
+			fresh = append(fresh, t)
 		}
-		delete(inst.done, t.ID)
-		fresh = append(fresh, t)
 	}
-	deduped := len(req.Tasks) - len(fresh)
-	inst.submitted += int64(len(fresh))
 	inst.mu.Unlock()
 	// Re-chunk into root→leaf bundles: an upstream mega-bundle spreads
 	// across leaves, while per-bundle envelope cost stays amortized.
@@ -370,7 +384,18 @@ func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, erro
 			return nil, err
 		}
 	}
-	return fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}, nil
+	reply := fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: len(req.Tasks) - len(fresh)}
+	if f.nParents.Load() > 0 {
+		// An attached parent gets this forwarder's summed capacity
+		// piggy-backed on the acknowledgment, as from a dispatcher.
+		f.mu.Lock()
+		if _, ok := f.parents[p.ID()]; ok {
+			h := f.capacityLocked()
+			reply.Capacity = &h
+		}
+		f.mu.Unlock()
+	}
+	return reply, nil
 }
 
 // ensureDown returns inst's EPR on leaf idx, creating the downstream
@@ -448,9 +473,14 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 		l.inflight += len(tasks)
 		f.mu.Unlock()
 
+		// The first attempt of a fresh submit records its tasks owed; a
+		// retry or replay re-pins only tasks still owed, so one whose result
+		// landed meanwhile does not become owed a second time.
 		inst.mu.Lock()
 		for _, t := range tasks {
-			inst.pending[t.ID] = pentry{t: t, leaf: idx}
+			if _, owed := inst.pending[t.ID]; owed || (attempt == 0 && avoid < 0) {
+				inst.pending[t.ID] = pentry{t: t, leaf: idx}
+			}
 		}
 		inst.mu.Unlock()
 
@@ -484,10 +514,11 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 				f.mu.Lock()
 				l.bundles++
 				l.tasks += int64(len(tasks))
-				if rep.Capacity != nil {
-					l.absorbHint(*rep.Capacity)
-				}
+				changed := rep.Capacity != nil && l.absorbHint(*rep.Capacity)
 				f.mu.Unlock()
+				if changed {
+					f.pushCapacity()
+				}
 				return nil
 			}
 			var remote *wsrpc.RemoteError
@@ -535,21 +566,15 @@ func (f *Forwarder) failBundle(inst *finst, tasks []task.Task, leafIdx int) {
 	inst.mu.Unlock()
 }
 
-// onLeafResults resolves results arriving from leaf idx: pending entries
-// clear, duplicates (a replay racing the original) drop, and survivors
-// either push straight upstream or buffer for Collect.
+// onLeafResults resolves results arriving from leaf idx against the owed
+// table: a result for a pending task clears its entry and pushes straight
+// upstream or buffers for Collect; any other (a replay racing the original,
+// a duplicate push) is no longer owed and drops.
 func (f *Forwarder) onLeafResults(idx int, realEPR string, results []task.Result) {
 	f.mu.Lock()
 	inst := f.byReal[realKey{idx, realEPR}]
 	if inst != nil && idx < len(f.leaves) {
-		l := f.leaves[idx]
-		l.results += int64(len(results))
-		if !l.capOK {
-			// Legacy leaves never report capacity, so their inflight estimate
-			// decays on results instead — without this they would starve once
-			// their routed-task count outgrew every hint-reporting peer's.
-			l.inflight = max(0, l.inflight-len(results))
-		}
+		f.leaves[idx].results += int64(len(results))
 	}
 	f.mu.Unlock()
 	if inst == nil || inst.destroyed.Load() {
@@ -558,13 +583,10 @@ func (f *Forwarder) onLeafResults(idx int, realEPR string, results []task.Result
 	var deliver []task.Result
 	inst.mu.Lock()
 	for _, r := range results {
-		delete(inst.pending, r.ID)
-		if _, dup := inst.done[r.ID]; dup {
-			inst.dupDrops++
-			continue
+		if _, owed := inst.pending[r.ID]; owed {
+			delete(inst.pending, r.ID)
+			deliver = append(deliver, r)
 		}
-		inst.done[r.ID] = struct{}{}
-		deliver = append(deliver, r)
 	}
 	if len(deliver) == 0 {
 		inst.mu.Unlock()
@@ -647,12 +669,8 @@ func (f *Forwarder) Stats() fproto.StatsReply {
 			Reconnects: l.reconnects,
 		}}
 	}
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	nInst := len(f.byFwd)
 	f.mu.Unlock()
+	insts := f.instances()
 	for _, inst := range insts {
 		inst.mu.Lock()
 		for _, pe := range inst.pending {
@@ -717,7 +735,7 @@ func (f *Forwarder) Stats() fproto.StatsReply {
 		agg.Leaves = append(agg.Leaves, s.row)
 	}
 	agg.Depth = childDepth + 1
-	agg.Instances = nInst
+	agg.Instances = len(insts)
 	if len(tenantAgg) > 0 {
 		names := make([]string, 0, len(tenantAgg))
 		for name := range tenantAgg {

@@ -22,8 +22,7 @@ type pentry struct {
 // Lock order: Forwarder.mu → finst.mu. Neither is ever held across a
 // downstream call.
 type finst struct {
-	epr  string
-	name string
+	epr string
 
 	// tenant is the creating client's tenant, forwarded verbatim on every
 	// downstream instance so leaf dispatchers attribute and admit the
@@ -36,15 +35,11 @@ type finst struct {
 	peer   upstreamPeer // client connection for pushed results (nil = detached)
 	notify bool
 
-	// pending maps every task awaiting a result to its current leaf; done
-	// records delivered task IDs so replayed duplicates drop exactly like
-	// the client library's dedupe. A resubmit of a done task re-runs it
-	// (the ID leaves done), mirroring dispatcher instance semantics.
+	// pending maps every task awaiting a result to its current leaf. It is
+	// the only dedupe the root keeps: a result whose ID is not pending is no
+	// longer owed and drops, and a resubmit of a delivered task re-runs it,
+	// mirroring dispatcher instance semantics.
 	pending map[task.ID]pentry
-	done    map[task.ID]struct{}
-
-	submitted int64
-	dupDrops  int64
 
 	// downEPR[i] is this instance's EPR on leaf i ("" until first use);
 	// creating[i] is a barrier channel while a create call is in flight so
@@ -64,12 +59,9 @@ type upstreamPeer interface {
 	Notify(method string, arg any) error
 }
 
-func newFinst(epr, name string, leaves int) *finst {
+func newFinst(leaves int) *finst {
 	return &finst{
-		epr:      epr,
-		name:     name,
 		pending:  make(map[task.ID]pentry),
-		done:     make(map[task.ID]struct{}),
 		downEPR:  make([]string, leaves),
 		creating: make([]chan struct{}, leaves),
 	}
@@ -103,27 +95,4 @@ func (in *finst) takeResults(max int) []task.Result {
 		in.results = nil
 	}
 	return out
-}
-
-// pendingFor counts tasks currently routed to leaf idx. Callers hold mu.
-func (in *finst) pendingFor(idx int) int {
-	n := 0
-	for _, pe := range in.pending {
-		if pe.leaf == idx {
-			n++
-		}
-	}
-	return n
-}
-
-// takePendingFor collects the tasks currently routed to leaf idx, in
-// arbitrary order. Callers hold mu.
-func (in *finst) takePendingFor(idx int) []task.Task {
-	var ts []task.Task
-	for _, pe := range in.pending {
-		if pe.leaf == idx {
-			ts = append(ts, pe.t)
-		}
-	}
-	return ts
 }

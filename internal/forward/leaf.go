@@ -2,28 +2,26 @@ package forward
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
 	"falkon/internal/fproto"
+	"falkon/internal/sched"
+	"falkon/internal/task"
 	"falkon/internal/wsrpc"
 )
 
-// leaf is one downstream dispatcher from the root's point of view: its
-// connection (nil while down), the freshest capacity hint it reported, and
-// the bundle-routing counters falkon-top surfaces per leaf.
+// leaf is one downstream child — a dispatcher or another forwarder — from
+// the root's point of view: its connection (nil while down), the freshest
+// capacity hint it reported, and the bundle-routing counters falkon-top
+// surfaces per leaf.
 type leaf struct {
 	idx  int
 	addr string
 
 	cli *wsrpc.Client // nil while down
 	up  bool
-	gen int64 // bumped per reconnect; stamps log lines, not correctness
 
-	// capOK is false when the leaf never acknowledged attach-parent (an
-	// old dispatcher); such leaves are routed to round-robin.
-	capOK    bool
 	cap      fproto.CapacityHint
 	inflight int // tasks routed since cap was last refreshed
 
@@ -39,45 +37,26 @@ type leaf struct {
 	starved int
 }
 
-// score is the routing cost of sending the next bundle here: estimated
-// backlog (queued + outstanding + routed-but-unreported) minus idle slots.
-// Lower is better; the idle-slot credit makes an idle leaf win over a
-// backlogged one even when the backlogged leaf has more executors. Callers
-// hold Forwarder.mu.
-func (l *leaf) score() int {
-	s := l.inflight
-	if l.capOK {
-		s += l.cap.Queued + l.cap.Outstanding - l.cap.IdleSlots
-		if l.cap.Executors == 0 {
-			// An executor-less leaf drains nothing: its empty queue would
-			// otherwise look maximally idle and absorb bundles no one will
-			// run. The first executor registration forces a capacity push,
-			// lifting the penalty promptly.
-			s += 1 << 20
-		}
-	}
-	return s
-}
-
 // absorbHint installs a capacity report if it is fresher than the current
 // one, resetting the unreported-routing estimate. Freshness is (Epoch, Seq)
 // lexicographic: Seq restarts from 1 when the leaf process restarts, so a
 // restarted leaf's hints must beat the dead incarnation's high-Seq
 // leftovers on epoch alone — comparing raw Seq would freeze the routing
 // table on pre-crash capacity (an idle leaf pushes nothing to correct it).
-// Callers hold Forwarder.mu.
-func (l *leaf) absorbHint(h fproto.CapacityHint) {
-	if !l.capOK || h.Epoch > l.cap.Epoch || (h.Epoch == l.cap.Epoch && h.Seq >= l.cap.Seq) {
-		l.cap = h
-		l.inflight = 0
+// Reports whether h was installed. Callers hold Forwarder.mu.
+func (l *leaf) absorbHint(h fproto.CapacityHint) bool {
+	if h.Epoch < l.cap.Epoch || (h.Epoch == l.cap.Epoch && h.Seq < l.cap.Seq) {
+		return false
 	}
+	l.cap = h
+	l.inflight = 0
+	return true
 }
 
 // dialLeaf establishes leaf l's downstream connection and attaches the root
-// as a tree parent. A leaf that rejects attach-parent (an old dispatcher
-// without the capacity protocol) still works — it just routes round-robin.
-// Called without Forwarder.mu; the caller installs the returned state.
-func (f *Forwarder) dialLeaf(l *leaf) (*wsrpc.Client, fproto.CapacityHint, bool, error) {
+// as a tree parent. A leaf that rejects attach-parent counts as a failed
+// dial. Called without Forwarder.mu; the caller installs the returned state.
+func (f *Forwarder) dialLeaf(l *leaf) (*wsrpc.Client, fproto.CapacityHint, error) {
 	idx := l.idx
 	cli, err := wsrpc.Dial(l.addr, wsrpc.ClientOptions{
 		Security: f.opts.Security,
@@ -88,27 +67,19 @@ func (f *Forwarder) dialLeaf(l *leaf) (*wsrpc.Client, fproto.CapacityHint, bool,
 		Metrics: f.reg,
 	})
 	if err != nil {
-		return nil, fproto.CapacityHint{}, false, err
-	}
-	if f.opts.NoCapacity {
-		return cli, fproto.CapacityHint{}, false, nil
+		return nil, fproto.CapacityHint{}, err
 	}
 	var hint fproto.CapacityHint
-	err = cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: f.name()}, &hint)
-	if err != nil {
-		var remote *wsrpc.RemoteError
-		if errors.As(err, &remote) {
-			f.logf("forward: leaf %s has no capacity protocol, routing round-robin: %v", l.addr, err)
-			return cli, fproto.CapacityHint{}, false, nil
-		}
+	if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: f.name()}, &hint); err != nil {
 		cli.Close()
-		return nil, fproto.CapacityHint{}, false, err
+		return nil, fproto.CapacityHint{}, err
 	}
-	return cli, hint, true, nil
+	return cli, hint, nil
 }
 
 // onLeafNotify handles pushes from leaf idx: capacity hints update the
-// routing table, result notifications resolve pending tasks.
+// routing table (and the sum this forwarder reports to its own parents),
+// result notifications resolve pending tasks.
 func (f *Forwarder) onLeafNotify(idx int, method string, body json.RawMessage) {
 	switch method {
 	case fproto.NotifyCapacity:
@@ -117,10 +88,11 @@ func (f *Forwarder) onLeafNotify(idx int, method string, body json.RawMessage) {
 			return
 		}
 		f.mu.Lock()
-		if idx < len(f.leaves) {
-			f.leaves[idx].absorbHint(h)
-		}
+		changed := idx < len(f.leaves) && f.leaves[idx].absorbHint(h)
 		f.mu.Unlock()
+		if changed {
+			f.pushCapacity()
+		}
 	case fproto.NotifyResults:
 		var n fproto.ResultsNotify
 		if err := wsrpc.UnmarshalBody(body, &n); err != nil {
@@ -168,6 +140,7 @@ func (f *Forwarder) leafDown(l *leaf) {
 	l.cli = nil
 	l.up = false
 	f.mu.Unlock()
+	f.pushCapacity()
 	f.logf("forward: leaf %s down, rerouting its pending tasks", l.addr)
 	// Asynchronous: with no surviving leaf the reroute parks in waitRoutable,
 	// and the supervisor must be free to redial — the very thing that makes
@@ -177,7 +150,7 @@ func (f *Forwarder) leafDown(l *leaf) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		f.redistribute(l.idx)
+		f.redistribute(l.idx, f.owedBy(l.idx))
 	}()
 }
 
@@ -191,17 +164,15 @@ func (f *Forwarder) redialLeaf(l *leaf) bool {
 			return false
 		case <-time.After(f.backoff.Delay(attempt)):
 		}
-		cli, hint, capOK, err := f.dialLeaf(l)
+		cli, hint, err := f.dialLeaf(l)
 		if err != nil {
 			continue
 		}
-		f.recoverLeafInstances(l, cli)
+		f.evacuate(l.idx, cli)
 		f.mu.Lock()
 		l.cli = cli
 		l.up = true
-		l.gen++
-		l.capOK = capOK
-		// absorbHint, not assignment: recoverLeafInstances above takes long
+		// absorbHint, not assignment: evacuate above takes long
 		// enough that a forced capacity push from the fresh incarnation (an
 		// executor re-registering, say) can land first — overwriting it with
 		// the attach-time snapshot would pin this leaf at its attach-moment
@@ -211,85 +182,81 @@ func (f *Forwarder) redialLeaf(l *leaf) bool {
 		l.reconnects++
 		f.routable.Broadcast()
 		f.mu.Unlock()
+		f.pushCapacity()
 		f.logf("forward: leaf %s reconnected (attempt %d)", l.addr, attempt+1)
 		// Anything still routed here (no surviving leaf took it while we
 		// were down) resubmits against the fresh connection.
-		f.redistribute(l.idx)
+		f.redistribute(l.idx, f.owedBy(l.idx))
 		return true
 	}
 }
 
-// recoverLeafInstances drains the old downstream instances on a freshly
-// redialed leaf. If the leaf survived (connection blip) or recovered from
-// its journal, reattaching by EPR flushes the results it buffered while
-// detached — the root dedupes any overlap with rerouted replays. The
-// recovered instance is then destroyed: its re-queued tasks are dropped so
-// the root's own replay is the single execution, and the next bundle routed
-// here creates a fresh downstream instance.
-func (f *Forwarder) recoverLeafInstances(l *leaf, cli *wsrpc.Client) {
-	type oldRoute struct {
-		realEPR string
-		inst    *finst
-	}
-	var olds []oldRoute
+// evacuate empties leaf idx of this root's downstream instances, for both
+// a freshly redialed leaf and an executor-less one the rescue loop gives up
+// on. Each instance is reattached by EPR and then destroyed, dropping
+// whatever the leaf still holds queued for this root; the next bundle routed
+// here creates a fresh downstream instance. The byReal mapping goes first,
+// so anything the reattach flushes (results a redialed leaf buffered while
+// detached; on a live connection, nothing) drops: the caller's redistribute
+// replays the leaf's pending tasks, and a replay must stay the single
+// execution — an original result delivered here would leave the replay's
+// copy orphaned in some other leaf's queue, owed to no one.
+func (f *Forwarder) evacuate(idx int, cli *wsrpc.Client) {
+	var eprs []string
 	f.mu.Lock()
 	for k, inst := range f.byReal {
-		if k.down == l.idx {
-			olds = append(olds, oldRoute{k.epr, inst})
-			delete(f.byReal, k)
+		if k.down != idx {
+			continue
 		}
+		eprs = append(eprs, k.epr)
+		delete(f.byReal, k)
+		inst.mu.Lock()
+		if inst.downEPR[idx] == k.epr {
+			inst.downEPR[idx] = ""
+		}
+		inst.mu.Unlock()
 	}
 	f.mu.Unlock()
-	for _, o := range olds {
+	for _, epr := range eprs {
 		var rep fproto.CreateInstanceReply
 		err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-			ClientName: f.name(), WantNotifications: true, EPR: o.realEPR,
+			ClientName: f.name(), WantNotifications: true, EPR: epr,
 		}, &rep)
 		if err == nil {
-			// Buffered results were pushed during reattach and are being
-			// dispatched through onLeafResults; restore the mapping just for
-			// the destroy window, then drop the downstream instance.
 			var out struct{}
-			_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: o.realEPR}, &out)
+			_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: epr}, &out)
 		}
-		o.inst.mu.Lock()
-		if o.inst.downEPR[l.idx] == o.realEPR {
-			o.inst.downEPR[l.idx] = ""
-		}
-		o.inst.mu.Unlock()
 	}
 }
 
-// redistribute replays every task currently routed to leaf `from` through
-// the normal routing path, which picks whatever leaf is healthiest now
-// (possibly `from` itself, freshly reconnected). Tasks whose results landed
-// in the meantime fall out via the done-map dedupe.
-func (f *Forwarder) redistribute(from int) {
-	f.mu.Lock()
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	f.mu.Unlock()
-	total := 0
-	for _, inst := range insts {
-		if inst.destroyed.Load() {
-			continue
-		}
+// owedBy snapshots, per live instance, the tasks currently routed to leaf
+// idx.
+func (f *Forwarder) owedBy(idx int) map[*finst][]task.Task {
+	owed := make(map[*finst][]task.Task)
+	for _, inst := range f.instances() {
 		inst.mu.Lock()
-		ts := inst.takePendingFor(from)
+		for _, pe := range inst.pending {
+			if pe.leaf == idx && !inst.destroyed.Load() {
+				owed[inst] = append(owed[inst], pe.t)
+			}
+		}
 		inst.mu.Unlock()
-		if len(ts) == 0 {
-			continue
-		}
+	}
+	return owed
+}
+
+// redistribute replays the tasks owedBy leaf `from` through the normal
+// routing path, which picks whatever leaf is healthiest now (possibly `from`
+// itself, freshly reconnected). A replay racing its original is harmless:
+// the first result clears the pending entry, routeBundle re-pins only tasks
+// still pending, and onLeafResults drops any later result for the same ID.
+func (f *Forwarder) redistribute(from int, owed map[*finst][]task.Task) {
+	total := 0
+	for inst, ts := range owed {
 		total += len(ts)
-		var trace uint64
-		if len(ts) > 0 {
-			trace = ts[0].Trace
-		}
 		for start := 0; start < len(ts); start += f.bundle {
 			end := min(start+f.bundle, len(ts))
-			if err := f.routeBundle(inst, ts[start:end], trace, from); err != nil {
+			if err := f.routeBundle(inst, ts[start:end], ts[0].Trace, from); err != nil {
 				f.logf("forward: reroute %d tasks from leaf %d: %v", end-start, from, err)
 			}
 		}
@@ -308,11 +275,12 @@ func (f *Forwarder) redistribute(from int) {
 // only survivor has no executors, the dead leaf's tasks land on a queue
 // nothing drains, and no later event re-routes them (an idle executor-less
 // leaf stops changing, so it stops reporting). A leaf that stays in that
-// state for two consecutive ticks while a sibling *could* run work first
-// gets its downstream instances destroyed (which drops the queued copies —
-// each downstream instance holds only work this root routed there) and then
-// its routed tasks replayed through the normal routing path. Any stragglers
-// that raced the destroy dedupe at the root like any rerouted replay.
+// state for two consecutive ticks while a sibling *could* run work is
+// evacuated — its downstream instances destroyed, which drops the queued
+// copies, since each holds only work this root routed there — and its routed
+// tasks replayed through the normal routing path. A forwarder child reports
+// its subtree's summed executors, so a mid-tier subtree left with no
+// executors is rescued the same way as a bare dispatcher.
 func (f *Forwarder) rescueStarvedLeaves() {
 	defer f.wg.Done()
 	t := time.NewTicker(500 * time.Millisecond)
@@ -324,118 +292,62 @@ func (f *Forwarder) rescueStarvedLeaves() {
 		case <-t.C:
 		}
 		f.mu.Lock()
-		// A rescue only helps when some other up leaf can actually run the
-		// tasks; a legacy leaf (no capacity protocol) is assumed able.
+		// A rescue only helps when some other up leaf can run the tasks.
 		runnable := false
 		for _, l := range f.leaves {
-			if l.up && (!l.capOK || l.cap.Executors > 0) {
+			if l.up && l.cap.Executors > 0 {
 				runnable = true
 				break
 			}
 		}
-		var starved []int
+		type starvedLeaf struct {
+			idx int
+			cli *wsrpc.Client
+		}
+		var starved []starvedLeaf
 		for _, l := range f.leaves {
-			if !runnable || !l.up || !l.capOK || l.cap.Executors > 0 {
+			if !runnable || !l.up || l.cap.Executors > 0 {
 				l.starved = 0
 				continue
 			}
 			l.starved++
 			if l.starved >= 2 {
 				l.starved = 0
-				starved = append(starved, l.idx)
+				starved = append(starved, starvedLeaf{l.idx, l.cli})
 			}
 		}
 		f.mu.Unlock()
-		for _, idx := range starved {
-			if f.owesTasks(idx) {
-				f.logf("forward: leaf %d is executor-less but owes tasks, rescuing them", idx)
-				f.dropDownstreamInstances(idx)
-				f.redistribute(idx)
+		for _, s := range starved {
+			if owed := f.owedBy(s.idx); len(owed) > 0 {
+				f.logf("forward: leaf %d is executor-less but owes tasks, rescuing them", s.idx)
+				f.evacuate(s.idx, s.cli)
+				f.redistribute(s.idx, owed)
 			}
 		}
 	}
-}
-
-// dropDownstreamInstances destroys every downstream instance on leaf idx,
-// dropping whatever that dispatcher still holds queued for this root. The
-// next bundle routed there creates a fresh downstream instance.
-func (f *Forwarder) dropDownstreamInstances(idx int) {
-	type oldRoute struct {
-		epr  string
-		inst *finst
-	}
-	var olds []oldRoute
-	f.mu.Lock()
-	var cli *wsrpc.Client
-	if idx < len(f.leaves) && f.leaves[idx].up {
-		cli = f.leaves[idx].cli
-	}
-	for k, inst := range f.byReal {
-		if k.down == idx {
-			olds = append(olds, oldRoute{k.epr, inst})
-			delete(f.byReal, k)
-		}
-	}
-	f.mu.Unlock()
-	for _, o := range olds {
-		o.inst.mu.Lock()
-		if o.inst.downEPR[idx] == o.epr {
-			o.inst.downEPR[idx] = ""
-		}
-		o.inst.mu.Unlock()
-		if cli != nil {
-			var out struct{}
-			_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: o.epr}, &out)
-		}
-	}
-}
-
-// owesTasks reports whether any instance has pending tasks routed to leaf
-// idx.
-func (f *Forwarder) owesTasks(idx int) bool {
-	f.mu.Lock()
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	f.mu.Unlock()
-	for _, inst := range insts {
-		inst.mu.Lock()
-		for _, pe := range inst.pending {
-			if pe.leaf == idx {
-				inst.mu.Unlock()
-				return true
-			}
-		}
-		inst.mu.Unlock()
-	}
-	return false
 }
 
 // pickLeaf chooses the routing target for the next bundle: the up leaf with
-// the lowest backlog score, round-robin on ties (and therefore plain
-// round-robin when no leaf speaks the capacity protocol, since all scores
-// sit at zero in steady state). avoid is the leaf a failed attempt just
-// came from (-1 = none); it loses ties but is not excluded — with one leaf
-// it is still the only choice. Callers hold f.mu.
+// the lowest sched.Load score, round-robin on ties. avoid is the leaf a
+// failed attempt just came from (-1 = none); it loses ties but is not
+// excluded — with one leaf it is still the only choice. Callers hold f.mu.
 func (f *Forwarder) pickLeaf(avoid int) (*leaf, bool) {
-	var best *leaf
 	n := len(f.leaves)
-	for i := 0; i < n; i++ {
-		l := f.leaves[(f.rr+i)%n]
-		if !l.up {
-			continue
-		}
-		if best == nil || l.score() < best.score() ||
-			(l.score() == best.score() && best.idx == avoid && l.idx != avoid) {
-			best = l
-		}
-	}
-	if best == nil {
+	best := sched.PickChild(n, f.rr, avoid, func(i int) (sched.Load, bool) {
+		l := f.leaves[i]
+		return sched.Load{
+			Queued:    l.cap.Queued,
+			Running:   l.cap.Outstanding,
+			Idle:      l.cap.IdleSlots,
+			Executors: l.cap.Executors,
+			Inflight:  l.inflight,
+		}, l.up
+	})
+	if best < 0 {
 		return nil, false
 	}
-	f.rr = (best.idx + 1) % n
-	return best, true
+	f.rr = (best + 1) % n
+	return f.leaves[best], true
 }
 
 // waitRoutable blocks until at least one leaf is up or the deadline passes.

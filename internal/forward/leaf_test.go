@@ -11,7 +11,7 @@ import (
 // straggler push from the dead incarnation's connection must lose even
 // though its Seq is higher.
 func TestAbsorbHintEpochBeatsSeq(t *testing.T) {
-	l := &leaf{capOK: true, cap: fproto.CapacityHint{Epoch: 100, Seq: 40, Executors: 1}}
+	l := &leaf{cap: fproto.CapacityHint{Epoch: 100, Seq: 40, Executors: 1}}
 
 	// Fresh incarnation, Seq restarted: accepted despite the lower Seq.
 	l.inflight = 7

@@ -3,7 +3,6 @@ package forward_test
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -224,169 +223,73 @@ func TestForwarderRoutesByCapacity(t *testing.T) {
 	}
 }
 
-// legacyProxy fronts a real dispatcher while refusing to speak the capacity
-// protocol — the wire shape of a dispatcher predating this release. Only
-// the legacy client-facing methods exist; attach-parent fails as an unknown
-// method, which the root must treat as "route this leaf round-robin", not
-// as a fatal error.
-type legacyProxy struct {
-	srv  *wsrpc.Server
-	down *wsrpc.Client
-
-	mu   sync.Mutex
-	peer *wsrpc.Peer // the root's connection, for result relay
-}
-
-func startLegacyProxy(t *testing.T, downstream string) string {
-	t.Helper()
-	p := &legacyProxy{}
-	down, err := wsrpc.Dial(downstream, wsrpc.ClientOptions{
-		OnNotify: func(method string, body json.RawMessage) {
-			if method != fproto.NotifyResults {
-				return
-			}
-			p.mu.Lock()
-			peer := p.peer
-			p.mu.Unlock()
-			if peer != nil {
-				var n fproto.ResultsNotify
-				if json.Unmarshal(body, &n) == nil {
-					peer.Notify(fproto.NotifyResults, n)
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.down = down
-	p.srv = wsrpc.NewServer(wsrpc.ServerOptions{Logf: t.Logf})
-	relay := func(method string) func(*wsrpc.Peer, json.RawMessage) (any, error) {
-		return func(peer *wsrpc.Peer, body json.RawMessage) (any, error) {
-			p.mu.Lock()
-			p.peer = peer
-			p.mu.Unlock()
-			var out json.RawMessage
-			if err := p.down.Call(method, body, &out); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-	}
-	for _, m := range []string{
-		fproto.MethodCreateInstance, fproto.MethodDestroyInstance,
-		fproto.MethodSubmit, fproto.MethodCollect,
-		fproto.MethodStats, fproto.MethodMetrics, fproto.MethodEvents,
-	} {
-		p.srv.Register(m, relay(m))
-	}
-	if err := p.srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.srv.Close(); p.down.Close() })
-	return p.srv.Addr()
-}
-
-// TestForwarderLegacyLeafWireCompat runs a mixed tree: one leaf speaks the
-// capacity protocol, the other is a legacy dispatcher behind a proxy that
-// rejects attach-parent. Work must still flow through both.
-func TestForwarderLegacyLeafWireCompat(t *testing.T) {
-	var ds []*dispatch.Dispatcher
-	for i := 0; i < 2; i++ {
+// TestForwarderDepth3SkipsExecutorlessSubtree is the depth-3 twin of
+// TestForwarderRoutesByCapacity: a root over two mid forwarders, mid A over
+// a dispatcher with no executors and mid B over one with four. Each mid
+// reports the summed capacity of its children, so the root sees subtree A
+// as executor-less and feeds it nothing; a root that could not read mid
+// capacity would strand part of the workload there for good.
+func TestForwarderDepth3SkipsExecutorlessSubtree(t *testing.T) {
+	startDispatcher := func(execs int) *dispatch.Dispatcher {
 		d := dispatch.New(dispatch.Options{Logf: t.Logf})
 		if err := d.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		ex, err := executor.Start(executor.Options{
-			ID: fmt.Sprintf("wc-exec-%d", i), DispatcherAddr: d.Addr(), SleepScale: 0.001,
-		})
+		for i := 0; i < execs; i++ {
+			ex, err := executor.Start(executor.Options{
+				ID: fmt.Sprintf("d3-exec-%d", i), DispatcherAddr: d.Addr(), SleepScale: 0.001,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ex.Stop)
+		}
+		return d
+	}
+	startForwarder := func(addrs ...string) *forward.Forwarder {
+		f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 10, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(ex.Stop)
-		ds = append(ds, d)
+		if err := f.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
 	}
-	legacyAddr := startLegacyProxy(t, ds[1].Addr())
+	empty, busy := startDispatcher(0), startDispatcher(4)
+	midA, midB := startForwarder(empty.Addr()), startForwarder(busy.Addr())
+	root := startForwarder(midA.Addr(), midB.Addr())
 
-	f, err := forward.New(forward.Options{Dispatchers: []string{ds[0].Addr(), legacyAddr}, Bundle: 5, Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("mixed tree must come up despite the legacy leaf: %v", err)
-	}
-	if err := f.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 30})
+	c, err := client.Connect(client.Options{DispatcherAddr: root.Addr(), BundleSize: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 120, 0)); err != nil {
+	if err := c.Submit(task.Batch(&gen, 100, 0)); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.WaitN(120, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.WaitN(100, 15*time.Second); err != nil {
+		t.Fatalf("%v (executor-less leaf holds %d tasks)", err, empty.Stats().Submitted)
 	}
-	if len(rs) != 120 {
-		t.Fatalf("results = %d", len(rs))
+	if st := empty.Stats(); st.Submitted != 0 {
+		t.Fatalf("executor-less subtree received %d tasks", st.Submitted)
 	}
-	if st := ds[1].Stats(); st.Completed == 0 {
-		t.Fatal("legacy leaf served nothing")
-	}
-	if st := ds[0].Stats(); st.Completed == 0 {
-		t.Fatal("capacity leaf served nothing")
-	}
-}
 
-// TestForwarderNoCapacityOption pins the pure round-robin fallback: with
-// the protocol disabled the tree still works end to end.
-func TestForwarderNoCapacityOption(t *testing.T) {
-	var addrs []string
-	var ds []*dispatch.Dispatcher
-	for i := 0; i < 2; i++ {
-		d := dispatch.New(dispatch.Options{Logf: t.Logf})
-		if err := d.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		ex, err := executor.Start(executor.Options{
-			ID: fmt.Sprintf("nc-exec-%d", i), DispatcherAddr: d.Addr(), SleepScale: 0.001,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ex.Stop)
-		addrs = append(addrs, d.Addr())
-		ds = append(ds, d)
-	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 10, NoCapacity: true, Logf: t.Logf})
+	// The root itself answers attach-parent with the sum over its subtree.
+	probe, err := wsrpc.Dial(root.Addr(), wsrpc.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+	defer probe.Close()
+	var h fproto.CapacityHint
+	if err := probe.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: "probe"}, &h); err != nil {
+		t.Fatalf("root attach-parent: %v", err)
 	}
-	t.Cleanup(func() { f.Close() })
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 80, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitN(80, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range ds {
-		if st := d.Stats(); st.Completed == 0 {
-			t.Fatalf("round-robin leaf %d served nothing", i)
-		}
+	if h.Executors != 4 || h.Epoch == 0 || h.Seq == 0 {
+		t.Fatalf("root capacity = %+v, want Executors=4 with epoch and seq set", h)
 	}
 }
 

@@ -47,10 +47,11 @@ const (
 	MethodMetrics         = "falkon.metrics"
 	MethodEvents          = "falkon.events"
 	// MethodAttachParent registers the calling peer as a tree parent (a
-	// forwarder root): the dispatcher replies with its current capacity and
-	// thereafter pushes NotifyCapacity hints so the parent can route bundles
-	// by headroom. Dispatchers predating the hierarchical tree reject the
-	// method; parents treat that as "no hints" and fall back to round-robin.
+	// forwarder one tier up): the child — a dispatcher, or a forwarder
+	// reporting the sum over its own children — replies with its current
+	// capacity and thereafter pushes NotifyCapacity hints so the parent can
+	// route bundles by headroom. A parent treats a child that rejects the
+	// method as unreachable.
 	MethodAttachParent = "falkon.attach-parent"
 )
 

@@ -193,7 +193,21 @@ func (t *Tree) route() {
 	}
 	cost := t.P.RouteCost + time.Duration(n)*t.P.RouteCostPerTask
 	t.rootSubmit(cost, func() {
-		li := t.pickLeaf()
+		// The live root's routing policy with a perfectly fresh hint: the
+		// simulator reads leaf state directly, so staleness is represented
+		// only by the in-flight term. Busy executors stand in for the hint's
+		// outstanding count.
+		li := sched.PickChild(len(t.Leaves), t.rr, -1, func(i int) (sched.Load, bool) {
+			m := t.Leaves[i]
+			return sched.Load{
+				Queued:    m.QueueLen(),
+				Running:   m.BusyExecutors(),
+				Idle:      m.IdleExecutors(),
+				Executors: m.LiveExecutors(),
+				Inflight:  t.inflight[i],
+			}, true
+		})
+		t.rr = (li + 1) % len(t.Leaves)
 		ids := make([]int, n)
 		for i := range ids {
 			t.nextID++
@@ -207,31 +221,6 @@ func (t *Tree) route() {
 		t.routing = false
 		t.route()
 	})
-}
-
-// pickLeaf scores each leaf by estimated backlog — queued plus busy minus
-// idle executors, plus bundles routed but not yet acknowledged — and takes
-// the minimum, round-robin on ties. This is the live root's capacity-hint
-// routing with a perfectly fresh hint (the simulator reads leaf state
-// directly; staleness is represented only by the in-flight term).
-func (t *Tree) pickLeaf() int {
-	n := len(t.Leaves)
-	best, bestScore := -1, 0
-	for i := 0; i < n; i++ {
-		li := (t.rr + i) % n
-		m := t.Leaves[li]
-		s := m.QueueLen() + m.BusyExecutors() - m.IdleExecutors() + t.inflight[li]
-		if m.LiveExecutors() == 0 {
-			// Same penalty as the live root: an executor-less leaf drains
-			// nothing, however idle its queue looks.
-			s += 1 << 20
-		}
-		if best < 0 || s < bestScore {
-			best, bestScore = li, s
-		}
-	}
-	t.rr = (best + 1) % n
-	return best
 }
 
 // leafDone observes one completion at leaf li: fold it into the determinism
