@@ -191,14 +191,20 @@ func (f *Forwarder) Close() error {
 }
 
 func (f *Forwarder) closeLeaves() {
+	var clis []*wsrpc.Client
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, l := range f.leaves {
 		if l.cli != nil {
-			l.cli.Close()
+			clis = append(clis, l.cli)
 			l.cli = nil
 		}
 		l.up = false
+	}
+	f.mu.Unlock()
+	// Closed outside f.mu: Close waits for the connection's read loop, which
+	// may itself be waiting for f.mu to absorb a push from that leaf.
+	for _, cli := range clis {
+		cli.Close()
 	}
 }
 

@@ -223,6 +223,8 @@ func (f *Forwarder) evacuate(idx int, cli *wsrpc.Client) {
 			ClientName: f.name(), WantNotifications: true, EPR: epr,
 		}, &rep)
 		if err == nil {
+			// Best effort: copies a failed destroy leaves queued are owed
+			// to no one, so any result they produce drops.
 			var out struct{}
 			_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: epr}, &out)
 		}
@@ -328,20 +330,14 @@ func (f *Forwarder) rescueStarvedLeaves() {
 }
 
 // pickLeaf chooses the routing target for the next bundle: the up leaf with
-// the lowest sched.Load score, round-robin on ties. avoid is the leaf a
+// the lowest sched.Score, round-robin on ties. avoid is the leaf a
 // failed attempt just came from (-1 = none); it loses ties but is not
 // excluded — with one leaf it is still the only choice. Callers hold f.mu.
 func (f *Forwarder) pickLeaf(avoid int) (*leaf, bool) {
 	n := len(f.leaves)
-	best := sched.PickChild(n, f.rr, avoid, func(i int) (sched.Load, bool) {
+	best := sched.PickChild(n, f.rr, avoid, func(i int) (int, bool) {
 		l := f.leaves[i]
-		return sched.Load{
-			Queued:    l.cap.Queued,
-			Running:   l.cap.Outstanding,
-			Idle:      l.cap.IdleSlots,
-			Executors: l.cap.Executors,
-			Inflight:  l.inflight,
-		}, l.up
+		return sched.Score(l.cap.Queued, l.cap.Outstanding, l.cap.IdleSlots, l.cap.Executors, l.inflight), l.up
 	})
 	if best < 0 {
 		return nil, false

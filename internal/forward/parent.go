@@ -54,6 +54,8 @@ func (f *Forwarder) pushCapacity() {
 	}
 	f.mu.Unlock()
 	for _, p := range ps {
+		// A failed push means the parent's connection is going away;
+		// onUpstreamDisconnect drops it from the set.
 		_ = p.Notify(fproto.NotifyCapacity, h)
 	}
 }

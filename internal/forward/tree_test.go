@@ -293,6 +293,76 @@ func TestForwarderDepth3SkipsExecutorlessSubtree(t *testing.T) {
 	}
 }
 
+// TestForwarderPushesSummedCapacity follows one capacity change up two
+// tiers with no task traffic to piggyback on: executors registering at a
+// leaf dispatcher reach the mid forwarder as a push, the mid re-pushes its
+// sum to the root, and the root re-pushes its own sum to an attached parent.
+func TestForwarderPushesSummedCapacity(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	mid, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mid.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mid.Close() })
+	root, err := forward.New(forward.Options{Dispatchers: []string{mid.Addr()}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { root.Close() })
+
+	pushed := make(chan fproto.CapacityHint, 64)
+	parent, err := wsrpc.Dial(root.Addr(), wsrpc.ClientOptions{
+		OnNotify: func(method string, body json.RawMessage) {
+			var h fproto.CapacityHint
+			if method == fproto.NotifyCapacity && json.Unmarshal(body, &h) == nil {
+				select {
+				case pushed <- h:
+				default: // never block the read loop, even after the test returns
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	var h fproto.CapacityHint
+	if err := parent.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: "probe"}, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Executors != 0 {
+		t.Fatalf("attach snapshot = %+v, want no executors yet", h)
+	}
+	for i := 0; i < 2; i++ {
+		ex, err := executor.Start(executor.Options{ID: fmt.Sprintf("push-exec-%d", i), DispatcherAddr: d.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ex.Stop)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case h := <-pushed:
+			if h.Executors == 2 && h.IdleSlots == 2 {
+				return
+			}
+		case <-deadline:
+			t.Fatal("root never pushed the new executors upward")
+		}
+	}
+}
+
 // TestForwarderAttachCapacityPushRace pins a startup ordering bug: a leaf
 // starts pushing capacity notifies the moment attach-parent lands, and a
 // push can outrace the attach reply — the notify handler used to index the

@@ -2,51 +2,44 @@ package sched
 
 import "testing"
 
-func TestLoadScore(t *testing.T) {
-	l := Load{Queued: 5, Running: 3, Idle: 2, Executors: 4, Inflight: 10}
-	if got := l.Score(); got != 16 {
+func TestScore(t *testing.T) {
+	if got := Score(5, 3, 2, 4, 10); got != 16 {
 		t.Fatalf("Score = %d, want 16", got)
 	}
-	l.Executors = 0
-	if got := l.Score(); got != 16+1<<20 {
+	if got := Score(5, 3, 2, 0, 10); got != 16+1<<20 {
 		t.Fatalf("executor-less Score = %d, want the penalty added", got)
 	}
 }
 
 func TestPickChild(t *testing.T) {
-	loads := []Load{
-		{Executors: 4, Idle: 4},
-		{Executors: 4, Idle: 4},
-		{Executors: 0}, // executor-less: never preferred
-		{Executors: 4, Idle: 4},
-	}
+	scores := []int{-4, -4, 1 << 20, -4}
 	up := []bool{true, true, true, true}
-	load := func(i int) (Load, bool) { return loads[i], up[i] }
+	score := func(i int) (int, bool) { return scores[i], up[i] }
 
 	// Ties go round-robin from rr.
 	for rr, want := range []int{0, 1, 3, 3} {
-		if got := PickChild(len(loads), rr, -1, load); got != want {
+		if got := PickChild(len(scores), rr, -1, score); got != want {
 			t.Fatalf("rr=%d: picked %d, want %d", rr, got, want)
 		}
 	}
 	// avoid loses a tie but stays eligible.
-	if got := PickChild(len(loads), 0, 0, load); got != 1 {
+	if got := PickChild(len(scores), 0, 0, score); got != 1 {
 		t.Fatalf("avoid=0 picked %d, want 1", got)
 	}
 	up[1], up[3] = false, false
-	if got := PickChild(len(loads), 0, 0, load); got != 0 {
-		t.Fatalf("sole executor-backed child avoided: picked %d", got)
+	if got := PickChild(len(scores), 0, 0, score); got != 0 {
+		t.Fatalf("sole runnable child avoided: picked %d", got)
 	}
-	// Lower backlog wins regardless of scan order.
+	// A lower score wins regardless of scan order.
 	up[1], up[3] = true, true
-	loads[3].Idle = 5
-	if got := PickChild(len(loads), 0, -1, load); got != 3 {
+	scores[3] = -5
+	if got := PickChild(len(scores), 0, -1, score); got != 3 {
 		t.Fatalf("picked %d, want the idlest child 3", got)
 	}
 	for i := range up {
 		up[i] = false
 	}
-	if got := PickChild(len(loads), 0, -1, load); got != -1 {
+	if got := PickChild(len(scores), 0, -1, score); got != -1 {
 		t.Fatalf("all down: picked %d, want -1", got)
 	}
 }

@@ -197,15 +197,9 @@ func (t *Tree) route() {
 		// simulator reads leaf state directly, so staleness is represented
 		// only by the in-flight term. Busy executors stand in for the hint's
 		// outstanding count.
-		li := sched.PickChild(len(t.Leaves), t.rr, -1, func(i int) (sched.Load, bool) {
+		li := sched.PickChild(len(t.Leaves), t.rr, -1, func(i int) (int, bool) {
 			m := t.Leaves[i]
-			return sched.Load{
-				Queued:    m.QueueLen(),
-				Running:   m.BusyExecutors(),
-				Idle:      m.IdleExecutors(),
-				Executors: m.LiveExecutors(),
-				Inflight:  t.inflight[i],
-			}, true
+			return sched.Score(m.QueueLen(), m.BusyExecutors(), m.IdleExecutors(), m.LiveExecutors(), t.inflight[i]), true
 		})
 		t.rr = (li + 1) % len(t.Leaves)
 		ids := make([]int, n)
