@@ -128,10 +128,8 @@ func (f *Forwarder) superviseLeaf(l *leaf) {
 }
 
 // leafDown marks l unroutable and kicks its pending tasks to surviving
-// leaves. The instance mappings (byReal, downEPR) are kept: if the leaf
-// merely lost its connection — or restarted on a journal — the redial path
-// reattaches and drains any results buffered downstream before discarding
-// the old downstream instances.
+// leaves. The instance mappings (byReal, downEPR) are kept for the redial
+// path, which evacuates the old downstream instances by EPR.
 func (f *Forwarder) leafDown(l *leaf) {
 	f.mu.Lock()
 	if l.cli != nil {
@@ -154,9 +152,9 @@ func (f *Forwarder) leafDown(l *leaf) {
 	}()
 }
 
-// redialLeaf reconnects to l with jittered backoff, recovers what the old
-// downstream instances still hold, and puts the leaf back in the routing
-// set. Returns false when the forwarder closed instead.
+// redialLeaf reconnects to l with jittered backoff, evacuates the old
+// downstream instances, and puts the leaf back in the routing set. Returns
+// false when the forwarder closed instead.
 func (f *Forwarder) redialLeaf(l *leaf) bool {
 	for attempt := 0; ; attempt++ {
 		select {
