@@ -77,14 +77,14 @@ type Spec struct {
 	Seed uint64
 
 	// Transport faults (wsrpc connections).
-	LatencyP   float64       // delay a read or write by Latency
-	Latency    time.Duration // default 2ms
-	DropP      float64       // close the connection instead of writing
-	MidFrameP  float64       // write half the buffer, then close (torn frame)
-	ShortWriteP float64      // tear the last bytes off a write, then close
-	PartitionP float64       // asymmetric partition: inbound blackholes for Partition while outbound flows
-	Partition  time.Duration // default 1s
-	DupNotifyP float64       // send a notify frame twice
+	LatencyP    float64       // delay a read or write by Latency
+	Latency     time.Duration // default 2ms
+	DropP       float64       // close the connection instead of writing
+	MidFrameP   float64       // write half the buffer, then close (torn frame)
+	ShortWriteP float64       // tear the last bytes off a write, then close
+	PartitionP  float64       // asymmetric partition: inbound blackholes for Partition while outbound flows
+	Partition   time.Duration // default 1s
+	DupNotifyP  float64       // send a notify frame twice
 
 	// Disk faults (the WAL's filesystem surface).
 	FsyncErrP  float64       // fail an fsync
@@ -262,7 +262,7 @@ type Injector struct {
 	spec Spec
 	logf func(format string, args ...any)
 
-	nextStream atomic.Uint64 // conn / file stream allocator
+	nextStream atomic.Uint64           // conn / file stream allocator
 	hookN      [nClasses]atomic.Uint64 // op counters for injector-level hooks
 
 	counters [nClasses]*metrics.Counter

@@ -58,10 +58,10 @@ func (osFS) Create(name string, excl bool) (File, error) {
 	return os.OpenFile(name, flag, 0o644)
 }
 
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
-func (osFS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
-func (osFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
+func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                  { return os.Remove(name) }
+func (osFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) }
+func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(filepath.Clean(dir))

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # chaos.sh — build the Falkon binaries and run the chaos harness
-# (cmd/falkon-chaos): a real dispatcher + executors + reconnecting client
+# (cmd/falkon-chaos): one driver over a topology of real dispatchers
+# (flat, a dispatch tree with --tree, or an HA cluster with --standbys;
+# --tree with --standbys is rejected), executors and a reconnecting client
 # under a seeded fault schedule, with exactly-once invariants asserted at
-# the end. A failing seed is printed and reproduces deterministically.
+# the end. A failing seed prints a REPRODUCE line that replays it. Every
+# run's work dir is $TMPDIR/falkon-chaos-<seed>-*.
 #
 #   ./scripts/chaos.sh                     # 5-seed sweep at full scale
 #   ./scripts/chaos.sh --quick             # 1 small seed (CI smoke)

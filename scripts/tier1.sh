@@ -19,6 +19,12 @@ fi
 set -x
 go build ./...
 go vet ./...
+# Formatting gate: gofmt must have nothing to rewrite in any Go file.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    printf 'tier1: gofmt -l lists files that need formatting:\n%s\n' "$unformatted" >&2
+    exit 1
+fi
 go test ./...
 
 if [ "$QUICK" = 1 ]; then
